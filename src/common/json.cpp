@@ -10,6 +10,11 @@ namespace fedhisyn::json {
 
 namespace {
 
+/// Deepest container nesting parse() accepts.  The parser recurses once per
+/// level, so without a cap a hostile line of a few million '[' overflows the
+/// stack; every document the repo owns nests fewer than ten levels.
+constexpr std::size_t kMaxNesting = 64;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -50,9 +55,13 @@ class Parser {
     return true;
   }
 
-  Value parse_value() {
+  /// `depth` counts the containers enclosing this value.
+  Value parse_value(std::size_t depth = 0) {
     skip_ws();
     const char c = peek();
+    FEDHISYN_CHECK_MSG((c != '{' && c != '[') || depth < kMaxNesting,
+                       "JSON nesting deeper than " << kMaxNesting
+                                                   << " levels at offset " << pos_);
     Value value;
     if (c == '{') {
       value.kind = Value::Kind::kObject;
@@ -67,7 +76,7 @@ class Parser {
         std::string key = parse_string_token();
         skip_ws();
         expect(':');
-        value.members.emplace_back(std::move(key), parse_value());
+        value.members.emplace_back(std::move(key), parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;
@@ -86,7 +95,7 @@ class Parser {
         return value;
       }
       for (;;) {
-        value.items.push_back(parse_value());
+        value.items.push_back(parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;

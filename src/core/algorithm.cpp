@@ -56,13 +56,11 @@ RoundGraphStats FlAlgorithm::run_async_round(
   // ---- Phase 1: symbolic replay of the round's event timeline.  Job
   // durations depend only on the fleet profile, so the full schedule — which
   // uploads happen, in which order, and which server version each job
-  // trains — is known before any training runs.  The replay mirrors the
-  // legacy event loop exactly, but records node ids in a RoundGraph instead
-  // of moving weights: the round-start snapshot is a seed node, every
-  // upload is a job, and every re-download is a version node the upload's
-  // commit publishes.  The EventQueue's (time, sequence) ordering — schedule
-  // sequences included — is identical to the legacy drain's, so the per-job
-  // Rng streams are too.
+  // trains — is known before any training runs.  The replay walks the
+  // event loop, but records node ids in a RoundGraph instead of moving
+  // weights: the round-start snapshot is a seed node, every upload is a job,
+  // and every re-download is a version node the upload's commit publishes.
+  // Each job's Rng stream is keyed on its EventQueue (time, sequence) order.
   RoundGraph graph;
   const std::int64_t snapshot = graph.add_seed(global_);
 
@@ -109,22 +107,23 @@ RoundGraphStats FlAlgorithm::run_async_round(
     }
   }
 
-  // ---- Phase 2: execute.  Training jobs fan out on the pool (or drain
-  // serially with --speculate=off); the cheap server mixes run as the
-  // graph's commit chain, strictly in event order on this thread.
+  // ---- Phase 2: execute.  Training jobs fan out on the pool; the cheap
+  // server mixes run as the graph's commit chain, strictly in event order
+  // on this thread.
   auto& pool = ParallelExecutor::current();
   if (job_scratch_.size() < pool.thread_count()) {
     job_scratch_.resize(pool.thread_count());
   }
-  const bool speculate = ctx_.opts.speculate;
-  const RoundGraphExecutor executor(speculate ? RoundGraphExecutor::Mode::kOverlap
-                                              : RoundGraphExecutor::Mode::kSerial,
-                                    speculate);
-  last_round_stats_ = executor.run(
+  UpdateExtras extras;
+  extras.momentum = ctx_.opts.momentum;
+  last_round_stats_ = run_round_graph(
       graph,
       [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {
-        run_async_job(job.device, epochs, Rng(job.stream),
-                      std::span<float>(model), job_scratch_[slot]);
+        Rng rng(job.stream);
+        train_local(*ctx_.network, std::span<float>(model),
+                    ctx_.fed->shards[job.device], epochs, ctx_.opts.batch_size,
+                    ctx_.opts.lr, UpdateKind::kSgd, extras, rng,
+                    job_scratch_[slot]);
       },
       [&](std::size_t index, const std::vector<float>& output,
           std::vector<float>* publish_into) {
@@ -133,21 +132,9 @@ RoundGraphStats FlAlgorithm::run_async_round(
           global_[i] = (1.0f - alpha) * global_[i] + alpha * output[i];
         }
         if (publish_into != nullptr) *publish_into = global_;
-      },
-      // Speculation guesses against the live global model — the latest
-      // available snapshot after every mix committed so far.
-      [&]() { return &global_; });
+      });
   ++rounds_completed_;
   return last_round_stats_;
-}
-
-void FlAlgorithm::run_async_job(std::size_t device, int epochs, Rng rng,
-                                std::span<float> model, TrainScratch& scratch) {
-  UpdateExtras extras;
-  extras.momentum = ctx_.opts.momentum;
-  train_local(*ctx_.network, model, ctx_.fed->shards[device], epochs,
-              ctx_.opts.batch_size, ctx_.opts.lr, UpdateKind::kSgd, extras, rng,
-              scratch);
 }
 
 }  // namespace fedhisyn::core

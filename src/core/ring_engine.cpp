@@ -156,8 +156,7 @@ RingEngineResult RingEngine::run_interval(const std::vector<sim::RingTopology>& 
   // has no server.
   auto& pool = ParallelExecutor::current();
   std::vector<TrainScratch> scratch(pool.thread_count());
-  const RoundGraphExecutor executor(RoundGraphExecutor::Mode::kOverlap);
-  executor.run(
+  run_round_graph(
       graph,
       [&](const RoundJob& job, std::vector<float>& model, std::size_t slot) {
         Rng job_rng(job.stream);

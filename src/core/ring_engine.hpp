@@ -12,7 +12,7 @@
 // replays the event timeline symbolically — producing a RoundGraph of
 // training jobs whose edges are "device continues its own model" and "model
 // forwarded along the ring" — and then hands the graph to the shared
-// RoundGraphExecutor (core/round_graph.hpp), which runs it wavefront-parallel
+// run_round_graph() (core/round_graph.hpp), which runs it wavefront-parallel
 // on the ParallelExecutor pool.  Each job draws from its own seeded Rng
 // stream (derived from the caller's rng and the job's event order), so
 // results are bit-identical for any thread count.

@@ -8,28 +8,15 @@
 // whose nodes are model values (initial per-device "seed" models, trained job
 // outputs, and server-side "version" snapshots published by a serial commit
 // chain) and whose jobs each train one node's model with a private seeded Rng
-// stream.  RoundGraphExecutor then runs that DAG on the ParallelExecutor
-// pool.
+// stream.  run_round_graph() then runs that DAG wavefront-parallel on the
+// ParallelExecutor pool: a job is scheduled one wave after its last input is
+// produced, and the commit chain (cheap server mixes) advances in job order
+// between waves.
 //
-// Execution modes:
-//   * kSerial — jobs run one at a time in commit order on the caller thread;
-//     this is the legacy event-queue drain, kept for A/B comparison
-//     (--speculate=off).
-//   * kOverlap — jobs run wavefront-parallel: a job is scheduled one wave
-//     after its last input is produced, and the commit chain (cheap server
-//     mixes) advances in job order between waves.  With speculation enabled,
-//     idle pool slots additionally pre-train jobs whose input version is not
-//     yet final against the latest published snapshot; when the true input
-//     resolves, a speculative result is accepted iff its input guess was
-//     bit-identical, otherwise the job re-runs — so either way the committed
-//     bytes match the serial drain exactly.
-//
-// Determinism contract: for a fixed graph (same replay), kSerial and kOverlap
-// at any thread count, with or without speculation, produce bit-identical
-// node values and commit sequences.  Jobs draw from per-job streams stored in
-// the graph, never from thread identity; commits run in job order on the
-// caller thread; speculation only ever substitutes a result proven
-// bit-identical to the one it replaces.
+// Determinism contract: for a fixed graph (same replay), every thread count
+// produces bit-identical node values and commit sequences.  Jobs draw from
+// per-job streams stored in the graph, never from thread identity, and
+// commits run in job order on the caller thread.
 #pragma once
 
 #include <cstddef>
@@ -50,8 +37,36 @@ struct RoundJob {
   std::uint64_t stream = 0;             // seed of the job's private Rng stream
 };
 
+/// Train the model in place.  Must be a pure deterministic function of
+/// (job.device, job.stream, model bytes); `slot` indexes the caller's
+/// per-thread scratch (< ParallelExecutor::current().thread_count()).
+using RoundTrainFn = std::function<void(
+    const RoundJob& job, std::vector<float>& model, std::size_t slot)>;
+
+/// Serial commit chain, invoked in job order on the caller thread with the
+/// job's final output.  `publish_into`, when non-null, is the storage of the
+/// version node this commit publishes — fill it before returning.  Pass
+/// nullptr for graphs with no server (ring rounds); jobs whose output nothing
+/// observes are then pruned.
+using RoundCommitFn = std::function<void(
+    std::size_t job, const std::vector<float>& output,
+    std::vector<float>* publish_into)>;
+
+/// Execution statistics of one run (informational: stats may vary with the
+/// thread count even though the committed bytes never do).
+struct RoundGraphStats {
+  std::size_t jobs = 0;    // jobs executed (after pruning unobservable ones)
+  std::size_t pruned = 0;  // jobs dropped because nothing observes them
+  std::size_t waves = 0;   // parallel waves dispatched
+  /// Modeled parallel makespan in job units: sum over waves of
+  /// ceil(batch / threads).  jobs / dispatch_slots is the schedule's
+  /// overlap factor — deterministic for a fixed (graph, thread count),
+  /// independent of the machine actually running it.
+  std::size_t dispatch_slots = 0;
+};
+
 /// The DAG of one round.  Build order: create nodes and jobs during the
-/// symbolic replay, then hand the graph to a RoundGraphExecutor.  Jobs commit
+/// symbolic replay, then hand the graph to run_round_graph().  Jobs commit
 /// in append order (the replay's event order).
 class RoundGraph {
  public:
@@ -84,7 +99,8 @@ class RoundGraph {
   const RoundJob& job(std::size_t index) const { return jobs_[index]; }
 
  private:
-  friend class RoundGraphExecutor;
+  friend RoundGraphStats run_round_graph(
+      RoundGraph& graph, const RoundTrainFn& train, const RoundCommitFn& commit);
 
   enum class NodeKind : std::uint8_t { kSeed, kOutput, kVersion };
 
@@ -105,62 +121,10 @@ class RoundGraph {
   std::vector<std::int64_t> publishes_;
 };
 
-/// Execution statistics of one run (informational: stats may vary with mode
-/// and thread count even though the committed bytes never do).
-struct RoundGraphStats {
-  std::size_t jobs = 0;    // jobs executed (after pruning unobservable ones)
-  std::size_t pruned = 0;  // jobs dropped because nothing observes them
-  std::size_t waves = 0;   // parallel waves dispatched (kOverlap)
-  /// Modeled parallel makespan in job units: sum over waves of
-  /// ceil(batch / threads).  jobs / dispatch_slots is the schedule's
-  /// overlap factor — deterministic for a fixed (graph, thread count),
-  /// independent of the machine actually running it.
-  std::size_t dispatch_slots = 0;
-  std::size_t speculated = 0;  // speculative pre-trainings launched
-  std::size_t accepted = 0;    // speculations whose input guess proved exact
-  std::size_t reruns = 0;      // speculations discarded and re-run
-};
-
-class RoundGraphExecutor {
- public:
-  enum class Mode { kSerial, kOverlap };
-
-  /// Train the model in place.  Must be a pure deterministic function of
-  /// (job.device, job.stream, model bytes); `slot` indexes the caller's
-  /// per-thread scratch (< ParallelExecutor::current().thread_count()).
-  using TrainFn =
-      std::function<void(const RoundJob& job, std::vector<float>& model,
-                         std::size_t slot)>;
-
-  /// Serial commit chain, invoked in job order on the caller thread with the
-  /// job's final output.  `publish_into`, when non-null, is the storage of
-  /// the version node this commit publishes — fill it before returning.
-  /// Pass nullptr as the CommitFn for graphs with no server (ring rounds);
-  /// jobs whose output nothing observes are then pruned.
-  using CommitFn = std::function<void(
-      std::size_t job, const std::vector<float>& output,
-      std::vector<float>* publish_into)>;
-
-  /// The latest available model snapshot for speculative pre-training: the
-  /// client's live global state after every commit run so far.  Called only
-  /// on the caller thread between waves (never concurrently with commits),
-  /// and the returned pointer is copied from before the next dispatch.
-  /// Without one, speculation never launches.
-  using SnapshotFn = std::function<const std::vector<float>*()>;
-
-  explicit RoundGraphExecutor(Mode mode, bool speculate = false)
-      : mode_(mode), speculate_(speculate) {}
-
-  /// Execute the graph: train every (live) job and run the commit chain.
-  /// Values of pinned nodes survive for RoundGraph::take(); everything else
-  /// is freed as soon as its last reader has run.
-  RoundGraphStats run(RoundGraph& graph, const TrainFn& train,
-                      const CommitFn& commit,
-                      const SnapshotFn& snapshot = nullptr) const;
-
- private:
-  Mode mode_;
-  bool speculate_;
-};
+/// Execute the graph: train every (live) job and run the commit chain.
+/// Values of pinned nodes survive for RoundGraph::take(); everything else is
+/// freed as soon as its last reader has run.
+RoundGraphStats run_round_graph(RoundGraph& graph, const RoundTrainFn& train,
+                                const RoundCommitFn& commit);
 
 }  // namespace fedhisyn::core

@@ -38,8 +38,14 @@ constexpr double kDefaultHelloGraceS = 60.0;
 
 // ----------------------------------------------------------- wire codec --
 
+/// Wire protocol revision announced in the hello.  Bump it whenever the
+/// spec or result codec changes shape, so a mixed-version fleet is refused
+/// at the hello instead of failing every cell.
+constexpr long kProtoRevision = 2;
+
 std::string encode_hello() {
-  return "{\"hello\":\"fedhisyn-worker\",\"proto\":1}";
+  return "{\"hello\":\"fedhisyn-worker\",\"proto\":" +
+         std::to_string(kProtoRevision) + "}";
 }
 
 /// Check-fails unless `line` is this protocol's hello — the first line on a
@@ -52,7 +58,7 @@ void validate_hello(const std::string& line, const std::string& who) {
     const json::Value* proto = doc.find("proto");
     if (hello == nullptr || hello->as_string() != "fedhisyn-worker") {
       problem = "it did not identify as a fedhisyn dispatch worker";
-    } else if (proto == nullptr || proto->as_long() != 1) {
+    } else if (proto == nullptr || proto->as_long() != kProtoRevision) {
       problem = "it speaks an unknown protocol revision";
     }
   } catch (const std::exception&) {

@@ -31,7 +31,7 @@
 //     backend.
 //
 // Wire protocol (one JSON object per line, floats exact via %.9g/%.17g):
-//   worker -> parent  {"hello":"fedhisyn-worker","proto":1}   (on connect)
+//   worker -> parent  {"hello":"fedhisyn-worker","proto":2}   (on connect)
 //   parent -> worker  {"attempt":A,"spec":{...}}
 //   worker -> parent  {"ok":true,"seconds":S,
 //                      "cache":{"hit":true|false,"hits":H,"misses":M,

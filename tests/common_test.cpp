@@ -11,6 +11,7 @@
 
 #include "common/check.hpp"
 #include "common/env.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 
@@ -220,6 +221,38 @@ TEST(Env, FallbackWhenUnset) {
   ::setenv("FEDHISYN_TEST_KNOB", "garbage", 1);
   EXPECT_EQ(env_long("FEDHISYN_TEST_KNOB", 7), 7);
   ::unsetenv("FEDHISYN_TEST_KNOB");
+}
+
+TEST(Json, DeepNestingIsRejectedNotRecursedInto) {
+  // The parser recurses per level, so millions of '[' would overflow its
+  // stack; any nesting past the cap must be a clean check error instead.
+  EXPECT_THROW(json::parse(std::string(2000000, '[')), CheckError);
+  EXPECT_THROW(json::parse(std::string(65, '[') + std::string(65, ']')),
+               CheckError);
+  std::string objects;
+  for (int i = 0; i < 100; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(100, '}');
+  EXPECT_THROW(json::parse(objects), CheckError);
+  EXPECT_FALSE(json::try_parse(objects).has_value());
+  // Within the cap the same shapes still parse.
+  EXPECT_EQ(json::parse(std::string(64, '[') + std::string(64, ']')).kind,
+            json::Value::Kind::kArray);
+}
+
+TEST(Json, TelemetryShapedResponseStillParses) {
+  const std::string line =
+      "{\"ok\":true,\"seconds\":0.25,"
+      "\"cache\":{\"hit\":false,\"hits\":0,\"misses\":1,\"evictions\":0,"
+      "\"resident_bytes\":4096,\"resident_builds\":1},"
+      "\"telemetry\":{\"dropped\":0,\"spans\":[[\"cell\",\"exp\",1,10,250]],"
+      "\"counters\":{\"round_graph.jobs\":12}},"
+      "\"algorithm\":\"FedAsync\",\"final\":0.5,\"best\":0.5,\"comm\":null,"
+      "\"rounds_to_target\":null,\"history\":[[1,0.5,1.0,0]]}";
+  const json::Value doc = json::parse(line);
+  const json::Value* telemetry = doc.find("telemetry");
+  ASSERT_NE(telemetry, nullptr);
+  EXPECT_EQ(telemetry->find("spans")->items[0].items[4].as_long(), 250);
+  EXPECT_EQ(telemetry->find("counters")->find("round_graph.jobs")->as_long(), 12);
 }
 
 }  // namespace

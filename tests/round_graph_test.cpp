@@ -1,17 +1,15 @@
-// The shared task-graph round engine (core/round_graph.hpp): executor
-// semantics on synthetic graphs (serial vs overlap equivalence, pruning,
-// pinning, speculation accept/re-run) and the byte-identity contract of the
-// speculative async rounds — FedAsync/TAFedAvg serialise identically (JSONL
-// line + final weights) between --speculate on/off and across 1/4/8
-// threads, including fleets engineered to produce equal-time event ties.
+// The shared task-graph round engine (core/round_graph.hpp): run_round_graph
+// semantics on synthetic graphs (an independent straight-line reference for
+// the commit chain, pruning, pinning, two-input averaging) and the
+// byte-identity contract of the async rounds — FedAsync/TAFedAvg serialise
+// identically (JSONL line + final weights) on 1, 4 and 8 threads, including
+// fleets engineered to produce equal-time event ties.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/parallel.hpp"
 #include "core/fedasync.hpp"
 #include "core/presets.hpp"
@@ -28,19 +26,22 @@ namespace fedhisyn {
 namespace {
 
 using core::RoundGraph;
-using core::RoundGraphExecutor;
-using core::RoundGraphStats;
 using core::RoundJob;
 
 // Cheap deterministic stand-in for local training: a pure function of
 // (device, stream, model bytes), like the real train_local.
-RoundGraphExecutor::TrainFn fake_train() {
+core::RoundTrainFn fake_train() {
   return [](const RoundJob& job, std::vector<float>& model, std::size_t) {
     for (std::size_t i = 0; i < model.size(); ++i) {
       const auto salt = static_cast<float>((job.stream >> (i % 24)) & 0xFu);
       model[i] = 0.5f * model[i] + salt + static_cast<float>(job.device + 1);
     }
   };
+}
+
+/// Per-job stream seed of MixWorld job (step, device d).
+std::uint64_t mix_stream(std::size_t chains, std::size_t step, std::size_t d) {
+  return 0x9E3779B97F4A7C15ull * (step * chains + d + 1);
 }
 
 /// Async-shaped graph: `chains` devices, each looping `length` jobs where
@@ -63,7 +64,7 @@ struct MixWorld {
         RoundJob job;
         job.device = d;
         job.input_a = input[d];
-        job.stream = 0x9E3779B97F4A7C15ull * (step * chains + d + 1);
+        job.stream = mix_stream(chains, step, d);
         const std::size_t index = graph.add_job(job);
         if (step + 1 < length) {
           const std::int64_t version = graph.add_version();
@@ -74,7 +75,7 @@ struct MixWorld {
     }
   }
 
-  RoundGraphExecutor::CommitFn commit_fn(float alpha) {
+  core::RoundCommitFn commit_fn(float alpha) {
     return [this, alpha](std::size_t, const std::vector<float>& output,
                          std::vector<float>* publish_into) {
       for (std::size_t i = 0; i < global.size(); ++i) {
@@ -88,73 +89,63 @@ struct MixWorld {
 
 std::vector<std::vector<float>> run_mix_world(std::size_t chains,
                                               std::size_t length, float alpha,
-                                              RoundGraphExecutor::Mode mode,
-                                              bool speculate,
-                                              std::size_t threads,
-                                              RoundGraphStats* stats_out = nullptr) {
+                                              std::size_t threads) {
   ParallelExecutor pool(threads);
   ParallelExecutor::Bind bind(pool);
   MixWorld world(chains, length, 16);
-  const RoundGraphExecutor executor(mode, speculate);
-  const auto stats =
-      executor.run(world.graph, fake_train(), world.commit_fn(alpha),
-                   [&world]() { return &world.global; });
-  if (stats_out != nullptr) *stats_out = stats;
+  core::run_round_graph(world.graph, fake_train(), world.commit_fn(alpha));
   return world.committed;
 }
 
-TEST(RoundGraphExecutor, OverlapMatchesSerialOnMixChains) {
-  const auto serial = run_mix_world(3, 4, 0.3f, RoundGraphExecutor::Mode::kSerial,
-                                    false, 1);
-  ASSERT_EQ(serial.size(), 12u);
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    for (const bool speculate : {false, true}) {
-      const auto overlap = run_mix_world(
-          3, 4, 0.3f, RoundGraphExecutor::Mode::kOverlap, speculate, threads);
-      ASSERT_EQ(serial, overlap)
-          << "threads=" << threads << " speculate=" << speculate;
+/// The same round computed straight-line, without the engine: for each step,
+/// for each device, start from the initial global (step 0) or from the
+/// version that device's previous commit published, train, mix, publish.
+std::vector<std::vector<float>> reference_mix_world(std::size_t chains,
+                                                    std::size_t length,
+                                                    float alpha) {
+  const auto train = fake_train();
+  std::vector<float> global(16, 1.0f);
+  std::vector<std::vector<float>> published(chains, global);
+  std::vector<std::vector<float>> committed;
+  for (std::size_t step = 0; step < length; ++step) {
+    for (std::size_t d = 0; d < chains; ++d) {
+      RoundJob job;
+      job.device = d;
+      job.stream = mix_stream(chains, step, d);
+      std::vector<float> model = published[d];
+      train(job, model, 0);
+      for (std::size_t i = 0; i < global.size(); ++i) {
+        global[i] = (1.0f - alpha) * global[i] + alpha * model[i];
+      }
+      committed.push_back(global);
+      published[d] = global;
+    }
+  }
+  return committed;
+}
+
+TEST(RunRoundGraph, CommitChainMatchesStraightLineReference) {
+  struct World {
+    std::size_t chains, length;
+    float alpha;
+  };
+  // alpha 0 publishes the unchanged snapshot after every commit; alpha 1
+  // replaces the global with each upload.
+  for (const World world : {World{3, 4, 0.3f}, World{1, 4, 0.0f},
+                            World{1, 4, 1.0f}}) {
+    const auto reference =
+        reference_mix_world(world.chains, world.length, world.alpha);
+    ASSERT_EQ(reference.size(), world.chains * world.length);
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      EXPECT_EQ(reference, run_mix_world(world.chains, world.length,
+                                         world.alpha, threads))
+          << "chains=" << world.chains << " alpha=" << world.alpha
+          << " threads=" << threads;
     }
   }
 }
 
-TEST(RoundGraphExecutor, SpeculationAcceptsWhenGuessProvesExact) {
-  // alpha = 0: every commit publishes the unchanged snapshot, so a guess
-  // against the round-start model is always bit-identical to the true input
-  // — all speculations must be accepted, none re-run.
-  RoundGraphStats stats;
-  const auto serial =
-      run_mix_world(1, 4, 0.0f, RoundGraphExecutor::Mode::kSerial, false, 1);
-  const auto spec = run_mix_world(1, 4, 0.0f, RoundGraphExecutor::Mode::kOverlap,
-                                  true, 4, &stats);
-  EXPECT_EQ(serial, spec);
-  EXPECT_EQ(stats.speculated, 3u);  // the 3 later jobs of the 4-job chain
-  EXPECT_EQ(stats.accepted, 3u);
-  EXPECT_EQ(stats.reruns, 0u);
-}
-
-TEST(RoundGraphExecutor, SpeculationRerunsWhenGuessWasStale) {
-  // alpha = 1: every commit rewrites the global with the upload, so a guess
-  // against an older snapshot never matches — every speculation must be
-  // discarded and re-run, and the result must still equal the serial drain.
-  RoundGraphStats stats;
-  const auto serial =
-      run_mix_world(1, 4, 1.0f, RoundGraphExecutor::Mode::kSerial, false, 1);
-  const auto spec = run_mix_world(1, 4, 1.0f, RoundGraphExecutor::Mode::kOverlap,
-                                  true, 4, &stats);
-  EXPECT_EQ(serial, spec);
-  EXPECT_GT(stats.speculated, 0u);
-  EXPECT_EQ(stats.accepted, 0u);
-  EXPECT_EQ(stats.reruns, stats.speculated);
-}
-
-TEST(RoundGraphExecutor, SpeculationNeverLaunchesWithoutIdleSlots) {
-  // A 1-thread pool has no idle capacity: wavefront execution only.
-  RoundGraphStats stats;
-  run_mix_world(1, 4, 0.0f, RoundGraphExecutor::Mode::kOverlap, true, 1, &stats);
-  EXPECT_EQ(stats.speculated, 0u);
-}
-
-TEST(RoundGraphExecutor, PrunesJobsNothingObserves) {
+TEST(RunRoundGraph, PrunesJobsNothingObserves) {
   // Ring-shaped graph (no commit chain): device 0's second output is pinned;
   // device 1 trains once and its output feeds nothing — it must be pruned.
   RoundGraph graph;
@@ -170,8 +161,7 @@ TEST(RoundGraphExecutor, PrunesJobsNothingObserves) {
 
   ParallelExecutor pool(2);
   ParallelExecutor::Bind bind(pool);
-  const RoundGraphExecutor executor(RoundGraphExecutor::Mode::kOverlap);
-  const auto stats = executor.run(graph, fake_train(), nullptr);
+  const auto stats = core::run_round_graph(graph, fake_train(), nullptr);
   EXPECT_EQ(stats.jobs, 2u);
   EXPECT_EQ(stats.pruned, 1u);
   // Pinned nodes survive: the untouched seed comes back unchanged.
@@ -179,28 +169,24 @@ TEST(RoundGraphExecutor, PrunesJobsNothingObserves) {
   EXPECT_EQ(graph.take(graph.output_of(second)).size(), 2u);
 }
 
-TEST(RoundGraphExecutor, TwoInputJobsAverageBeforeTraining) {
+TEST(RunRoundGraph, TwoInputJobsAverageBeforeTraining) {
   // The Observation-1 averaging edge: input_b is mixed 50/50 into input_a's
-  // copy before training, identically in both modes.
-  const auto run = [&](RoundGraphExecutor::Mode mode) {
-    RoundGraph graph;
-    const auto a = graph.add_seed({2.0f, 4.0f});
-    const auto b = graph.add_seed({6.0f, 8.0f});
-    const auto job = graph.add_job({0, a, b, 0});
-    graph.pin(graph.output_of(job));
-    ParallelExecutor pool(2);
-    ParallelExecutor::Bind bind(pool);
-    const RoundGraphExecutor executor(mode);
-    executor.run(graph,
-                 [](const RoundJob&, std::vector<float>& model, std::size_t) {
-                   for (auto& x : model) x += 1.0f;
-                 },
-                 nullptr);
-    return graph.take(graph.output_of(job));
-  };
+  // copy before training.
+  RoundGraph graph;
+  const auto a = graph.add_seed({2.0f, 4.0f});
+  const auto b = graph.add_seed({6.0f, 8.0f});
+  const auto job = graph.add_job({0, a, b, 0});
+  graph.pin(graph.output_of(job));
+  ParallelExecutor pool(2);
+  ParallelExecutor::Bind bind(pool);
+  core::run_round_graph(
+      graph,
+      [](const RoundJob&, std::vector<float>& model, std::size_t) {
+        for (auto& x : model) x += 1.0f;
+      },
+      nullptr);
   const std::vector<float> expected = {5.0f, 7.0f};  // mean + 1
-  EXPECT_EQ(run(RoundGraphExecutor::Mode::kSerial), expected);
-  EXPECT_EQ(run(RoundGraphExecutor::Mode::kOverlap), expected);
+  EXPECT_EQ(graph.take(graph.output_of(job)), expected);
 }
 
 // ------------------------------------------------- EventQueue tie-breaks --
@@ -249,8 +235,7 @@ struct RunOutput {
   std::vector<float> weights;
 };
 
-RunOutput run_method(const std::string& method, bool speculate,
-                     std::size_t threads) {
+RunOutput run_method(const std::string& method, std::size_t threads) {
   ParallelExecutor::global().set_thread_count(threads);
   exp::ExperimentSpec spec;
   spec.build.dataset = "mnist";
@@ -259,7 +244,6 @@ RunOutput run_method(const std::string& method, bool speculate,
   spec.build.scale.rounds = 3;
   spec.with_seed(7);
   spec.method = method;
-  spec.opts.speculate = speculate;
   RunOutput out;
   exp::CellHooks hooks;
   hooks.final_weights = &out.weights;
@@ -279,18 +263,13 @@ void expect_bitwise_equal(const RunOutput& a, const RunOutput& b,
       << what;
 }
 
-TEST(SpeculativeByteIdentity, AsyncMethodsMatchSerialDrainAcrossThreadCounts) {
+TEST(AsyncByteIdentity, AsyncMethodsMatchAcrossThreadCounts) {
   for (const std::string method : {"FedAsync", "TAFedAvg"}) {
-    // The reference: legacy serial drain on one thread.
-    const auto reference = run_method(method, /*speculate=*/false, 1);
-    for (const bool speculate : {false, true}) {
-      for (const std::size_t threads : {1u, 4u, 8u}) {
-        const auto run = run_method(method, speculate, threads);
-        expect_bitwise_equal(reference, run,
-                             method + " speculate=" +
-                                 (speculate ? "on" : "off") + " threads=" +
-                                 std::to_string(threads));
-      }
+    // The reference: the same engine on one thread.
+    const auto reference = run_method(method, 1);
+    for (const std::size_t threads : {4u, 8u}) {
+      expect_bitwise_equal(reference, run_method(method, threads),
+                           method + " threads=" + std::to_string(threads));
     }
   }
 }
@@ -322,24 +301,23 @@ struct TieWorld {
     for (std::size_t d = 0; d < 4; ++d) fleet[d].epoch_time = 0.5;
   }
 
-  core::FlContext context(bool speculate) const {
+  core::FlContext context() const {
     core::FlContext ctx;
     ctx.network = &network;
     ctx.fed = &fed;
     ctx.fleet = &fleet;
     ctx.opts.local_epochs = 2;
     ctx.opts.batch_size = 20;
-    ctx.opts.speculate = speculate;
     return ctx;
   }
 };
 
-TEST(SpeculativeByteIdentity, HomogeneousFleetTiesStayDeterministic) {
+TEST(AsyncByteIdentity, HomogeneousFleetTiesStayDeterministic) {
   const TieWorld world;
-  const auto run = [&](bool speculate, std::size_t threads) {
+  const auto run = [&](std::size_t threads) {
     ParallelExecutor::global().set_thread_count(threads);
-    core::TAFedAvgAlgo tafedavg(world.context(speculate));
-    core::FedAsyncAlgo fedasync(world.context(speculate));
+    core::TAFedAvgAlgo tafedavg(world.context());
+    core::FedAsyncAlgo fedasync(world.context());
     std::vector<float> trace;
     for (int round = 0; round < 2; ++round) {
       tafedavg.run_round();
@@ -355,35 +333,9 @@ TEST(SpeculativeByteIdentity, HomogeneousFleetTiesStayDeterministic) {
         ParallelExecutor::threads_from_env());
     return trace;
   };
-  const auto reference = run(false, 1);
-  EXPECT_EQ(reference, run(true, 1));
-  EXPECT_EQ(reference, run(true, 4));
-  EXPECT_EQ(reference, run(false, 4));
-  EXPECT_EQ(reference, run(true, 8));
-}
-
-// ----------------------------------------------------------- env plumbing --
-
-TEST(SpeculateKnob, EnvParsingMatchesContract) {
-  const char* saved = std::getenv("FEDHISYN_SPECULATE");
-  const std::string previous = saved != nullptr ? saved : "";
-  unsetenv("FEDHISYN_SPECULATE");
-  EXPECT_TRUE(speculate_from_env());  // default on
-  for (const char* off : {"0", "off", "false"}) {
-    setenv("FEDHISYN_SPECULATE", off, 1);
-    EXPECT_FALSE(speculate_from_env()) << off;
-  }
-  for (const char* on : {"1", "on", "true"}) {
-    setenv("FEDHISYN_SPECULATE", on, 1);
-    EXPECT_TRUE(speculate_from_env()) << on;
-  }
-  setenv("FEDHISYN_SPECULATE", "off", 1);
-  EXPECT_FALSE(core::FlOptions{}.speculate);  // FlOptions default honours it
-  if (saved != nullptr) {
-    setenv("FEDHISYN_SPECULATE", previous.c_str(), 1);
-  } else {
-    unsetenv("FEDHISYN_SPECULATE");
-  }
+  const auto reference = run(1);
+  EXPECT_EQ(reference, run(4));
+  EXPECT_EQ(reference, run(8));
 }
 
 }  // namespace
